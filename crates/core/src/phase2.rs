@@ -374,7 +374,11 @@ fn try_join(
             JoinAlgoChoice::Merge if okeys.is_empty() || requires_hash => continue,
             // Merge join is enumerated for plain inner joins only.
             JoinAlgoChoice::Merge if split.kind != JoinKind::Inner => continue,
-            JoinAlgoChoice::NestLoop if requires_hash => continue,
+            // A join with equi keys always has a hash option (repartition
+            // is always offered), so a nested loop is planned only for
+            // key-less predicates: an underestimated side must never turn an
+            // equi-join into |outer| × |inner| predicate evaluations.
+            JoinAlgoChoice::NestLoop if !okeys.is_empty() => continue,
             _ => {}
         }
         let dist_opts = match algo {
@@ -436,23 +440,12 @@ fn try_join(
                     keys: okeys.iter().copied().zip(ikeys.iter().copied()).collect(),
                     extra: extra.clone(),
                 },
-                JoinAlgoChoice::NestLoop => {
-                    // Fold equi keys into the predicate for generality.
-                    let mut preds: Vec<Expr> = okeys
-                        .iter()
-                        .zip(&ikeys)
-                        .map(|(o, i)| Expr::col(*o).eq(Expr::col(*i)))
-                        .collect();
-                    if let Some(e) = extra.clone() {
-                        preds.push(e);
-                    }
-                    PhysicalNode::NestLoopJoin {
-                        outer: outer_plan,
-                        inner: inner_plan,
-                        kind: split.kind,
-                        predicate: Expr::conjunction(preds),
-                    }
-                }
+                JoinAlgoChoice::NestLoop => PhysicalNode::NestLoopJoin {
+                    outer: outer_plan,
+                    inner: inner_plan,
+                    kind: split.kind,
+                    predicate: extra.clone(),
+                },
             };
             let plan = PhysicalPlan::new(node, out_layout.clone(), rows_out, opt.out_dist.clone());
             stats.generated += 1;
@@ -616,6 +609,26 @@ mod tests {
             s_cbo.pairs,
             s_plain.pairs
         );
+    }
+
+    #[test]
+    fn one_row_inner_side_still_gets_a_hash_join() {
+        // With a 1-row inner side a nested loop costs about as little as a
+        // hash join, but an underestimate there is unbounded; equi-joins
+        // never plan one.
+        let fx = chain_block(&[ChainSpec::new("a", 50_000), ChainSpec::new("b", 1)]);
+        for dop in [1, 2] {
+            for mode in [BloomMode::None, BloomMode::Cbo] {
+                let config = OptimizerConfig::with_mode(mode).dop(dop);
+                let (best, _) = optimize_fixture(&fx, &config);
+                let explain = best.plan.explain(&|c| format!("{c}"));
+                let nlj = count_nodes(&best.plan, |n| {
+                    matches!(n, PhysicalNode::NestLoopJoin { .. })
+                });
+                let hash = count_nodes(&best.plan, |n| matches!(n, PhysicalNode::HashJoin { .. }));
+                assert_eq!((nlj, hash), (0, 1), "{mode:?} dop {dop}:\n{explain}");
+            }
+        }
     }
 
     #[test]

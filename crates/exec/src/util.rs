@@ -101,10 +101,23 @@ pub fn hash_keys_into(
     tmp: &mut Vec<u64>,
     out: &mut Vec<u64>,
 ) {
+    let cols = key_slots.iter().map(|&s| chunk.column(s).as_ref());
+    hash_columns_into(cols, chunk.rows(), seed, tmp, out);
+}
+
+/// Hash `rows` rows of the key columns `cols` one column at a time into
+/// one combined `u64` per row (see [`hash_keys_into`] for the buffers).
+pub(crate) fn hash_columns_into<'c>(
+    cols: impl IntoIterator<Item = &'c Column>,
+    rows: usize,
+    seed: u64,
+    tmp: &mut Vec<u64>,
+    out: &mut Vec<u64>,
+) {
     out.clear();
-    out.resize(chunk.rows(), 0);
-    for (ki, &slot) in key_slots.iter().enumerate() {
-        chunk.column(slot).hash_into(seed, tmp);
+    out.resize(rows, 0);
+    for (ki, col) in cols.into_iter().enumerate() {
+        col.hash_into(seed, tmp);
         if ki == 0 {
             out.copy_from_slice(tmp);
         } else {
@@ -184,8 +197,8 @@ pub fn col_cmp(a: &Column, i: usize, b: &Column, j: usize) -> std::cmp::Ordering
     }
 }
 
-/// A hashable, comparable normalization of a scalar for group keys and
-/// DISTINCT sets.
+/// A hashable, comparable normalization of a scalar for the value sets of
+/// DISTINCT aggregates.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NormKey {
     /// SQL NULL (groups treat NULLs as equal, per the standard).

@@ -4,6 +4,7 @@
 //! comparisons on NULL yield NULL, `AND`/`OR` follow Kleene logic, and a
 //! WHERE clause keeps only rows whose predicate is *true* (not NULL).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use bfq_common::{date, BfqError, ColumnId, DataType, Datum, Result};
@@ -151,14 +152,29 @@ impl BoolVec {
 
 /// Evaluate `expr` over `chunk`, producing one output column.
 pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
-    let rows = chunk.rows();
+    eval_ref(expr, chunk, layout).map(Cow::into_owned)
+}
+
+/// [`eval`] that reads a bare column reference in place: the input column
+/// is borrowed, not copied. Any other expression computes a new column.
+pub fn eval_ref<'a>(expr: &Expr, chunk: &'a Chunk, layout: &Layout) -> Result<Cow<'a, Column>> {
     match expr {
         Expr::Column(id) => {
             let slot = layout
                 .slot_of(*id)
                 .ok_or_else(|| BfqError::internal(format!("column {id} not present in layout")))?;
-            Ok(chunk.column(slot).as_ref().clone())
+            Ok(Cow::Borrowed(chunk.column(slot).as_ref()))
         }
+        _ => eval_computed(expr, chunk, layout).map(Cow::Owned),
+    }
+}
+
+/// Evaluate an expression other than a bare column reference. Operands
+/// are read through [`eval_ref`], so column inputs are never copied.
+fn eval_computed(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
+    let rows = chunk.rows();
+    match expr {
+        Expr::Column(_) => unreachable!("bare columns are read by eval_ref"),
         Expr::Literal(d) => broadcast_literal(d, rows),
         Expr::Param(i) => Err(BfqError::Execution(format!(
             "unbound parameter ${} (bind values before executing)",
@@ -166,8 +182,8 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
         ))),
         Expr::Binary { op, left, right } => {
             if op.is_logical() {
-                let l = BoolVec::from_column(&eval(left, chunk, layout)?)?;
-                let r = BoolVec::from_column(&eval(right, chunk, layout)?)?;
+                let l = BoolVec::from_column(&*eval_ref(left, chunk, layout)?)?;
+                let r = BoolVec::from_column(&*eval_ref(right, chunk, layout)?)?;
                 let out = match op {
                     BinOp::And => l.and(r),
                     BinOp::Or => l.or(r),
@@ -175,26 +191,26 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
                 };
                 Ok(out.into_column())
             } else if op.is_comparison() {
-                let l = eval(left, chunk, layout)?;
-                let r = eval(right, chunk, layout)?;
+                let l = eval_ref(left, chunk, layout)?;
+                let r = eval_ref(right, chunk, layout)?;
                 Ok(compare_columns(*op, &l, &r)?.into_column())
             } else {
-                let l = eval(left, chunk, layout)?;
-                let r = eval(right, chunk, layout)?;
+                let l = eval_ref(left, chunk, layout)?;
+                let r = eval_ref(right, chunk, layout)?;
                 arith_columns(*op, &l, &r)
             }
         }
         Expr::Unary { op, expr } => match op {
             UnOp::Not => {
-                let v = BoolVec::from_column(&eval(expr, chunk, layout)?)?;
+                let v = BoolVec::from_column(&*eval_ref(expr, chunk, layout)?)?;
                 Ok(v.not().into_column())
             }
             UnOp::Neg => {
-                let c = eval(expr, chunk, layout)?;
+                let c = eval_ref(expr, chunk, layout)?;
                 negate_column(&c)
             }
             UnOp::IsNull | UnOp::IsNotNull => {
-                let c = eval(expr, chunk, layout)?;
+                let c = eval_ref(expr, chunk, layout)?;
                 let want_null = matches!(op, UnOp::IsNull);
                 let vals = (0..c.len()).map(|i| c.is_null(i) == want_null).collect();
                 Ok(Column::Bool(vals, None))
@@ -206,9 +222,9 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
             high,
             negated,
         } => {
-            let v = eval(e, chunk, layout)?;
-            let lo = eval(low, chunk, layout)?;
-            let hi = eval(high, chunk, layout)?;
+            let v = eval_ref(e, chunk, layout)?;
+            let lo = eval_ref(low, chunk, layout)?;
+            let hi = eval_ref(high, chunk, layout)?;
             let ge = compare_columns(BinOp::GtEq, &v, &lo)?;
             let le = compare_columns(BinOp::LtEq, &v, &hi)?;
             let mut out = ge.and(le);
@@ -222,10 +238,10 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
             list,
             negated,
         } => {
-            let v = eval(e, chunk, layout)?;
+            let v = eval_ref(e, chunk, layout)?;
             let mut acc: Option<BoolVec> = None;
             for item in list {
-                let iv = eval(item, chunk, layout)?;
+                let iv = eval_ref(item, chunk, layout)?;
                 let eq = compare_columns(BinOp::Eq, &v, &iv)?;
                 acc = Some(match acc {
                     None => eq,
@@ -243,7 +259,7 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
             pattern,
             negated,
         } => {
-            let c = eval(e, chunk, layout)?;
+            let c = eval_ref(e, chunk, layout)?;
             let s = c
                 .as_str()
                 .ok_or_else(|| BfqError::Type("LIKE requires a string operand".into()))?;
@@ -264,14 +280,14 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
         } => {
             let conds: Vec<BoolVec> = branches
                 .iter()
-                .map(|(c, _)| BoolVec::from_column(&eval(c, chunk, layout)?))
+                .map(|(c, _)| BoolVec::from_column(&*eval_ref(c, chunk, layout)?))
                 .collect::<Result<_>>()?;
-            let vals: Vec<Column> = branches
+            let vals: Vec<Cow<Column>> = branches
                 .iter()
-                .map(|(_, v)| eval(v, chunk, layout))
+                .map(|(_, v)| eval_ref(v, chunk, layout))
                 .collect::<Result<_>>()?;
             let else_col = match else_expr {
-                Some(e) => Some(eval(e, chunk, layout)?),
+                Some(e) => Some(eval_ref(e, chunk, layout)?),
                 None => None,
             };
             let out_type = vals
@@ -301,7 +317,7 @@ pub fn eval(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Column> {
             start,
             len,
         } => {
-            let c = eval(e, chunk, layout)?;
+            let c = eval_ref(e, chunk, layout)?;
             let s = c
                 .as_str()
                 .ok_or_else(|| BfqError::Type("SUBSTRING requires a string operand".into()))?;
@@ -326,7 +342,7 @@ fn extract_date_part(
     layout: &Layout,
     part: impl Fn(i32) -> i32,
 ) -> Result<Column> {
-    let c = eval(e, chunk, layout)?;
+    let c = eval_ref(e, chunk, layout)?;
     let days = c
         .as_date()
         .ok_or_else(|| BfqError::Type("EXTRACT requires a date operand".into()))?;
@@ -342,7 +358,7 @@ pub fn eval_predicate(expr: &Expr, chunk: &Chunk, layout: &Layout) -> Result<Vec
     if let Some(sel) = eval_predicate_fast(expr, chunk, layout) {
         return Ok(sel);
     }
-    let col = eval(expr, chunk, layout)?;
+    let col = eval_ref(expr, chunk, layout)?;
     let vals = col
         .as_bool()
         .ok_or_else(|| BfqError::Type(format!("predicate has type {}", col.data_type())))?;

@@ -15,7 +15,7 @@ use std::fmt;
 
 use bfq_common::{ColumnId, DataType, Datum};
 
-pub use eval::{eval, eval_predicate, Layout};
+pub use eval::{eval, eval_predicate, eval_ref, Layout};
 pub use like::like_match;
 pub use selectivity::{estimate_selectivity, StatsProvider, DEFAULT_EQ_SEL, DEFAULT_INEQ_SEL};
 

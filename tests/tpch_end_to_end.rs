@@ -163,3 +163,46 @@ fn query_results_have_expected_shapes() {
     let r = run(&s, 19);
     assert_eq!(r.chunk.rows(), 1);
 }
+
+#[test]
+fn q20_plans_no_equi_join_as_a_nested_loop() {
+    // Q20's `lineitem-quantity ⋈ partsupp` join has two equi keys. When a
+    // Bloom pass is underestimated the join's outer side looks tiny, and a
+    // nested loop evaluating its keys as a predicate used to win on cost
+    // (11196 × 1480 pairs at SF 0.02). Equi-joins must always hash.
+    let db = tpch::gen::generate(0.02, 3).expect("generate");
+    let conn = Engine::new(
+        db,
+        EngineConfig::default()
+            .with_bloom_mode(BloomMode::Cbo)
+            .with_dop(2),
+    )
+    .connect();
+    let planned = conn
+        .plan_sql_only(&tpch::query_text(20, 0.02))
+        .expect("Q20 plans");
+    let mut equi_nlj = 0;
+    planned.plan.visit(&mut |node| {
+        if let bfq::plan::PhysicalNode::NestLoopJoin {
+            predicate: Some(p), ..
+        } = &node.node
+        {
+            equi_nlj += p
+                .clone()
+                .split_conjuncts()
+                .iter()
+                .filter(|c| {
+                    matches!(c, bfq::expr::Expr::Binary { op: bfq::expr::BinOp::Eq, left, right }
+                        if matches!(**left, bfq::expr::Expr::Column(_))
+                            && matches!(**right, bfq::expr::Expr::Column(_)))
+                })
+                .count();
+        }
+    });
+    assert_eq!(
+        equi_nlj,
+        0,
+        "Q20 plans an equi-join as a nested loop:\n{}",
+        planned.plan.explain(&|c| format!("{c}"))
+    );
+}
